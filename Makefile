@@ -5,7 +5,7 @@ PYTHON ?= python
 # targets work from a fresh checkout without `make install`
 export PYTHONPATH := src
 
-.PHONY: install lint test bench bench-smoke bench-record bench-gate profile chaos slo-smoke corruption-drill shard-drill examples ci all clean
+.PHONY: install lint test bench bench-smoke bench-record bench-gate perfbench-smoke profile chaos slo-smoke corruption-drill shard-drill examples ci all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -37,6 +37,18 @@ bench-gate:
 	@$(PYTHON) tools/check_bench_regression.py; rc=$$?; \
 	if [ $$rc -eq 3 ]; then echo "bench-gate: baseline attention — tolerated (exit 3)"; \
 	elif [ $$rc -ne 0 ]; then exit $$rc; fi
+
+# the served-bank benchmark's own tests, then a 3-second untraced run of
+# two workloads; each run's last line (its JSON result) must report
+# "correct": true
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench -q
+	@for workload in pay_replicated cross_shard; do \
+		echo "== perfbench $$workload"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 3 --trace 0 | \
+		$(PYTHON) -c "import json, sys; out = sys.stdin.read(); print(out, end=''); \
+sys.exit(0 if json.loads(out.splitlines()[-1]).get('correct') is True else 1)" || exit 1; \
+	done
 
 # cProfile the single-threaded hot path (Fig.1 use case); top of the
 # cumulative-time table lands in BENCH_PROFILE.txt for before/after diffing.
@@ -73,7 +85,7 @@ shard-drill:
 
 # exactly what .github/workflows/ci.yml runs, in the same order — keep the
 # two in lockstep so "it passed locally" means "it will pass in CI"
-ci: lint test chaos slo-smoke corruption-drill shard-drill bench-smoke bench-gate
+ci: lint test chaos slo-smoke corruption-drill shard-drill bench-smoke perfbench-smoke bench-gate
 	@echo "ci: all gates green"
 
 examples:
@@ -88,7 +100,7 @@ outputs:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-all: lint test chaos slo-smoke corruption-drill shard-drill bench-smoke bench-gate
+all: lint test chaos slo-smoke corruption-drill shard-drill bench-smoke perfbench-smoke bench-gate
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true

@@ -13,10 +13,16 @@ second execution. This is what upgrades the instrument registry's
 original confirmation".
 
 The cache is bounded: when it reaches ``max_entries`` the oldest rows (by
-insertion sequence) are evicted in batches. An evicted key's retry falls
+insertion sequence) are evicted in batches. A batch is picked from the
+``Seq`` index and deleted under one hold of the database lock
+(:meth:`~repro.db.database.Database.evict_oldest`), so concurrent stores
+never race for the same victims, and the deletes ride the operation's
+transaction as part of its one WAL line. An evicted key's retry falls
 back to ordinary execution — safe for instrument operations (the
-double-spend registry still refuses), and in practice retries arrive
-within seconds while eviction horizons are thousands of operations away.
+double-spend registry still refuses). How far back retries are still
+deduplicated is exported on each eviction as
+``bank.reply_cache.horizon_seconds``: now minus the ``Date`` of the oldest
+surviving reply.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from typing import Any, Optional
 from repro.bank.records import reply_schema
 from repro.db.database import Database
 from repro.errors import ProtocolError
+from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
-from repro.util.gbtime import Clock
+from repro.util.gbtime import Clock, Timestamp
 from repro.util.ids import IdGenerator
 from repro.util.serialize import canonical_dumps, canonical_loads
 
@@ -35,7 +42,7 @@ __all__ = ["ReplyCache"]
 
 _log = get_logger("bank.replies")
 
-# evict this many rows at once when full, amortizing the ordered scan
+# evict this many rows at once when full, amortizing the index scan
 _EVICTION_BATCH = 64
 
 
@@ -112,12 +119,12 @@ class ReplyCache:
         )
 
     def _evict(self, need: int) -> None:
-        victims = self.db.select(
-            "replies", order_by="Seq", limit=max(need, _EVICTION_BATCH)
-        )
-        for row in victims:
-            self.db.delete("replies", (row["IdempotencyKey"],))
-        _log.debug("replies.evicted", count=len(victims))
+        evicted = self.db.evict_oldest("replies", "Seq", max(need, _EVICTION_BATCH))
+        # only an eviction moves the horizon, so the hot path pays nothing
+        oldest = self.db.oldest("replies", "Seq")
+        horizon = self.clock.now() - Timestamp.from_stamp14(oldest[0]["Date"]) if oldest else 0.0
+        obs_metrics.gauge("bank.reply_cache.horizon_seconds").set(horizon)
+        _log.debug("replies.evicted", count=evicted)
 
     def __len__(self) -> int:
         return len(self.db.table("replies"))

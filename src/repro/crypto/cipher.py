@@ -26,11 +26,15 @@ from typing import Optional
 
 from repro.errors import ChannelError, ValidationError
 
-__all__ = ["derive_keys", "ChannelCipher", "seal", "open_sealed"]
+__all__ = ["derive_keys", "ChannelCipher", "seal", "open_sealed", "RECORD_OVERHEAD"]
 
 _NONCE_LEN = 16
 _TAG_LEN = 32
 _BLOCK = 32
+
+#: bytes :meth:`ChannelCipher.protect` adds to a plaintext (sequence
+#: header, nonce and MAC tag)
+RECORD_OVERHEAD = 8 + _NONCE_LEN + _TAG_LEN
 
 
 def derive_keys(master_secret: bytes) -> tuple[bytes, bytes]:

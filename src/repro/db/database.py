@@ -457,6 +457,21 @@ class Database:
         if pending:
             self._write_journal(pending)
 
+    def evict_oldest(self, table_name: str, column: str, count: int) -> int:
+        """Delete the *count* rows with the smallest *column* values;
+        returns how many were deleted.
+
+        The victims are read from the column's index and deleted under
+        one hold of the table lock, so concurrent evictors never pick the
+        same row. The deletes form one transaction (a savepoint inside an
+        open one), journaled as one WAL line after the lock is released.
+        """
+        with self.transaction(), self._lock:
+            pks = self.table(table_name).oldest(column, count)
+            for pk in pks:
+                self.delete(table_name, pk)
+        return len(pks)
+
     # -- reads --------------------------------------------------------------------
 
     def get(self, table_name: str, pk: tuple) -> dict:
@@ -481,6 +496,13 @@ class Database:
     def count(self, table_name: str, conditions: Sequence[Condition] = ()) -> int:
         with self._lock:
             return self.table(table_name).count(conditions)
+
+    def oldest(self, table_name: str, column: str, limit: int = 1) -> list[dict]:
+        """Copies of the *limit* rows with the smallest *column* values,
+        ascending, read from the column's index without a table sort."""
+        with self._lock:
+            table = self.table(table_name)
+            return [table.get(pk) for pk in table.oldest(column, limit)]
 
     # -- persistence ----------------------------------------------------------------
 

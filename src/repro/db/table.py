@@ -8,11 +8,12 @@ roll back.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.db.query import Condition
 from repro.db.schema import TableSchema
-from repro.errors import IntegrityError, NotFoundError
+from repro.errors import DatabaseError, IntegrityError, NotFoundError
 
 __all__ = ["Table"]
 
@@ -124,6 +125,21 @@ class Table:
         if limit is not None:
             out = out[:limit]
         return out
+
+    def oldest(self, column: str, limit: int) -> list[tuple]:
+        """Pks of the *limit* rows with the smallest *column* values, in
+        ascending order (ties by pk).
+
+        Reads the column's secondary index: only its distinct keys are
+        scanned, and no row is copied or sorted.
+        """
+        index = self._indexes.get(column)
+        if index is None:
+            raise DatabaseError(f"column {column!r} of {self.schema.name!r} is not indexed")
+        pks: list[tuple] = []
+        for key in heapq.nsmallest(limit, index):
+            pks.extend(sorted(index[key]))
+        return pks[:limit]
 
     def count(self, conditions: Sequence[Condition] = ()) -> int:
         if not conditions:

@@ -17,6 +17,7 @@ from repro.util.serialize import canonical_dumps, canonical_loads
 
 __all__ = [
     "MAX_FRAME",
+    "fits_frame",
     "frame",
     "unframe_stream",
     "make_request",
@@ -31,9 +32,14 @@ MAX_FRAME = 16 * 1024 * 1024  # 16 MiB — RURs are small; this is generous
 _LEN = struct.Struct(">I")
 
 
+def fits_frame(size: int) -> bool:
+    """Whether a payload of *size* bytes may travel as one frame."""
+    return size <= MAX_FRAME
+
+
 def frame(payload: bytes) -> bytes:
     """Length-prefix *payload* for a stream transport."""
-    if len(payload) > MAX_FRAME:
+    if not fits_frame(len(payload)):
         raise ProtocolError(f"frame too large: {len(payload)} bytes")
     return _LEN.pack(len(payload)) + payload
 

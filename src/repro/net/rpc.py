@@ -51,6 +51,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
+from repro.crypto.cipher import RECORD_OVERHEAD
 from repro.crypto.hashes import sha256
 from repro.errors import (
     AuthenticationError,
@@ -65,6 +66,7 @@ from repro.errors import (
 from repro.gsi.authorization import AuthorizationPolicy
 from repro.gsi.context import Role, SecurityContext
 from repro.net.message import (
+    fits_frame,
     make_error,
     make_request,
     make_response,
@@ -95,6 +97,9 @@ __all__ = [
 Operation = Callable[[str, dict], Any]
 
 _log = get_logger("net.rpc")
+
+#: a sealed response's bytes beyond its hex-encoded record
+_SEALED_ENVELOPE = len(canonical_dumps({"kind": "sealed", "record": b""}))
 
 
 class ConnectionRefused(TransportError):
@@ -293,7 +298,21 @@ class _ServerConnection:
         return ("call", request)
 
     def seal(self, response: bytes) -> bytes:
-        """Phase 3: wrap a response envelope for the wire (order-sensitive)."""
+        """Phase 3: wrap a response envelope for the wire (order-sensitive).
+
+        A response whose sealed frame would exceed the frame limit is
+        answered with a typed ``ProtocolError`` instead. The size is
+        checked before ``wrap`` assigns the record's cipher sequence
+        number, so the channel stays in step for later calls.
+        """
+        # the record travels hex-encoded: two characters per byte
+        if not fits_frame(_SEALED_ENVELOPE + 2 * (RECORD_OVERHEAD + len(response))):
+            obs_metrics.counter("rpc.server.oversized_responses").inc()
+            _log.warning("rpc.response_too_large", bytes=len(response))
+            response = make_error(
+                parse_payload(response).get("id", 0), "ProtocolError",
+                f"response of {len(response)} bytes does not fit in one frame",
+            )
         return canonical_dumps({"kind": "sealed", "record": self._context.wrap(response)})
 
     def _handle_handshake(self, message: dict) -> Optional[bytes]:

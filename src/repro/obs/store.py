@@ -185,15 +185,10 @@ class SpanStore:
             pass
 
     def _evict(self, need: int) -> None:
-        victims = self.db.select(
-            SPAN_TABLE, order_by="Seq", limit=max(need, _EVICTION_BATCH)
-        )
-        for row in victims:
-            self.db.delete(SPAN_TABLE, (row["TraceID"], row["SpanID"]))
-        if victims:
-            # audit history destroyed by capacity, not by choice — keep
-            # the loss observable (sampling exists to keep this near zero)
-            obs_metrics.counter("obs.spans_dropped").inc(len(victims))
+        evicted = self.db.evict_oldest(SPAN_TABLE, "Seq", max(need, _EVICTION_BATCH))
+        # audit history destroyed by capacity, not by choice — keep the
+        # loss observable (sampling exists to keep this near zero)
+        obs_metrics.counter("obs.spans_dropped").inc(evicted)
 
     # -- query side --------------------------------------------------------
 

@@ -313,13 +313,8 @@ class UsageMeter:
         count = self.db.count(USAGE_TABLE)
         if count <= self.max_rows:
             return
-        victims = self.db.select(
-            USAGE_TABLE, order_by="PeriodStart", limit=count - self.max_rows
-        )
-        for row in victims:
-            self.db.delete(USAGE_TABLE, (row["Principal"], row["PeriodStart"]))
-        if victims:
-            obs_metrics.counter("usage.rollups_evicted").inc(len(victims))
+        evicted = self.db.evict_oldest(USAGE_TABLE, "PeriodStart", count - self.max_rows)
+        obs_metrics.counter("usage.rollups_evicted").inc(evicted)
 
     def _export_top_gauges(self, k: int = 5) -> None:
         # bounded cardinality: only the current top-K principals become

@@ -305,6 +305,63 @@ class TestTransactions:
         assert before == after
 
 
+def usage_schema() -> TableSchema:
+    # the usage meter's shape: composite pk, float order column with ties
+    return TableSchema(
+        "usage",
+        [
+            Column.make("Principal", VarChar(20)),
+            Column.make("PeriodStart", Float()),
+        ],
+        primary_key=["Principal", "PeriodStart"],
+        indexes=["PeriodStart"],
+    )
+
+
+class TestEvictOldest:
+    def _db(self, starts):
+        db = Database()
+        db.create_table(usage_schema())
+        for principal, start in starts:
+            db.insert("usage", {"Principal": principal, "PeriodStart": start})
+        return db
+
+    def _left(self, db):
+        return sorted((r["Principal"], r["PeriodStart"]) for r in db.select("usage"))
+
+    def test_victims_come_out_ascending(self):
+        starts = [(f"p{i}", float(v)) for i, v in enumerate([7, 3, 9, 1, 5, 8, 2])]
+        db = self._db(starts)
+        victims = [("p3", 1.0), ("p6", 2.0), ("p1", 3.0)]
+        assert db.table("usage").oldest("PeriodStart", 3) == victims
+        assert db.evict_oldest("usage", "PeriodStart", 3) == 3
+        assert sorted(start for _, start in self._left(db)) == [5.0, 7.0, 8.0, 9.0]
+        assert [r["PeriodStart"] for r in db.oldest("usage", "PeriodStart", 2)] == [5.0, 7.0]
+
+    def test_float_column_with_ties(self):
+        db = self._db([("b", 0.5), ("a", 0.5), ("c", 0.25), ("d", 1.75)])
+        assert db.evict_oldest("usage", "PeriodStart", 2) == 2
+        assert self._left(db) == [("b", 0.5), ("d", 1.75)]
+        assert db.evict_oldest("usage", "PeriodStart", 10) == 2
+        assert self._left(db) == []
+
+    def test_rolled_back_eviction_restores_the_next_victims(self):
+        db = self._db([(f"p{i}", float(i)) for i in range(6)])
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                db.evict_oldest("usage", "PeriodStart", 2)
+                assert len(db.table("usage")) == 4
+                raise RuntimeError("abort")
+        assert len(db.table("usage")) == 6
+        db.evict_oldest("usage", "PeriodStart", 2)
+        assert self._left(db) == [(f"p{i}", float(i)) for i in range(2, 6)]
+
+    def test_unindexed_column_refused(self):
+        db = fresh_db()
+        with pytest.raises(DatabaseError):
+            db.evict_oldest("accounts", "Balance", 1)
+
+
 class TestPersistence:
     def _make(self, path):
         db = Database(path=path)

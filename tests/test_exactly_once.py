@@ -8,6 +8,7 @@ effects. Together: a retried request is either served from the cache
 """
 
 import random
+import threading
 
 import pytest
 
@@ -339,6 +340,46 @@ class TestReplyCacheUnit:
         # newest entries survive, oldest were evicted
         assert cache.lookup("k259", "s", "Op") is not None
         assert cache.lookup("k0", "s", "Op") is None
+
+    def test_concurrent_stores_never_race_eviction(self):
+        # every store evicts at this bound, so the four writers constantly
+        # pick victims at once; each batch must be chosen and deleted in
+        # one locked step or two writers delete the same row
+        cache, db = self.make_cache(max_entries=16)
+        errors = []
+
+        def writer(t):
+            for i in range(500):
+                try:
+                    with db.transaction():
+                        cache.store(f"t{t}-{i}", "s", "Op", i)
+                except Exception as exc:  # noqa: BLE001 - collected for the assert
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        # a writer's count check and its insert are not atomic, so each
+        # concurrent writer may overshoot the bound by its one row
+        assert len(cache) <= cache.max_entries + len(threads)
+
+    def test_eviction_exports_reply_horizon(self):
+        cache, db = self.make_cache(max_entries=100)
+        clock = cache.clock
+        horizon = obs_metrics.gauge("bank.reply_cache.horizon_seconds")
+        horizon.set(-1.0)
+        for i in range(100):
+            with db.transaction():
+                cache.store(f"k{i}", "s", "Op", i)
+            clock.advance(1.0)
+        assert horizon.value == -1.0  # no eviction yet, gauge untouched
+        with db.transaction():
+            cache.store("k100", "s", "Op", 100)
+        # the batch took k0..k63; k64 was stored 36 s before now
+        assert horizon.value == 36.0
 
     def test_sequence_survives_rescan(self):
         cache, db = self.make_cache()

@@ -12,6 +12,8 @@ from repro.errors import (
     TransportError,
 )
 from repro.gsi.authorization import AllowAllPolicy, SubjectListPolicy
+from repro.net import message as wire
+from repro.net import rpc
 from repro.net.aio import AsyncTCPServer
 from repro.net.message import frame, make_request, parse_payload, unframe_stream
 from repro.net.rpc import ConnectionRefused, RPCClient, ServiceEndpoint
@@ -283,6 +285,33 @@ class TestTCP:
                 assert client.call("add", a=i, b=1) == i + 1
                 client.close()
         assert endpoint.accepted_connections == 3
+
+    def test_oversized_response_answers_typed_error(self, world, server_cls, monkeypatch):
+        endpoint = make_endpoint(world)
+        endpoint.register("bulk", lambda subject, params: "x" * params["n"])
+        sealed_sizes = []
+        real_seal = rpc._ServerConnection.seal
+
+        def recording_seal(handler, response):
+            sealed = real_seal(handler, response)
+            sealed_sizes.append(len(sealed))
+            return sealed
+
+        monkeypatch.setattr(rpc._ServerConnection, "seal", recording_seal)
+        with server_cls(endpoint.connection_handler) as server:
+            client = make_client(world, TCPClientConnection(server.address))
+            client.connect()
+            assert client.call("bulk", n=1000) == "x" * 1000
+            # one more result byte is two more hex characters in the frame
+            limit = sealed_sizes[-1] + 2 * 9000
+            monkeypatch.setattr(wire, "MAX_FRAME", limit)
+            assert client.call("bulk", n=10_000) == "x" * 10_000
+            assert sealed_sizes[-1] == limit  # the size check is exact
+            with pytest.raises(ProtocolError, match="does not fit in one frame"):
+                client.call("bulk", n=10_001)
+            # no cipher sequence number was spent on the refused response
+            assert client.call("add", a=1, b=2) == 3
+            client.close()
 
     def test_refusal_over_tcp(self, world, server_cls):
         endpoint = make_endpoint(world, policy=SubjectListPolicy())

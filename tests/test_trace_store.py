@@ -171,6 +171,24 @@ class TestSpanStore:
         assert len(store) <= 300
         assert store.spans_for_trace("tr000600")  # newest survived
 
+    def test_eviction_is_one_journal_line_and_recovers(self, tmp_path):
+        db = Database(path=tmp_path)
+        store = SpanStore(db, max_rows=300)
+        db.recover()
+        for i in range(300):
+            store(self._record(span_id=f"sp{i:06d}"))
+        _, lines = db.replication_position()
+        store(self._record(span_id="sp000300"))  # full: evicts a 256-row batch
+        assert db.replication_position()[1] - lines == 2  # the eviction + the insert
+        assert len(store) == 300 - 256 + 1
+        db.close()
+        reopened = Database(path=tmp_path)
+        recovered = SpanStore(reopened, max_rows=300)
+        reopened.recover()
+        assert len(recovered) == 45
+        assert recovered.spans_for_trace("t" * 16)[-1]["span_id"] == "sp000300"
+        reopened.close()
+
     def test_slowest_and_grep(self):
         store = SpanStore(Database())
         store(self._record(span_id="fast0000", name="op.fast", duration_seconds=0.01))
